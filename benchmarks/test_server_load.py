@@ -124,7 +124,6 @@ def test_server_load_batched_vs_sequential(benchmark, once):
 
     config = ServerConfig(
         max_batch=MAX_BATCH,
-        linger=0.001,
         num_workers=1,
         coalesce="fused",
         ingest_group_size=WAVE_SIZE,

@@ -78,7 +78,6 @@ def main() -> None:
 
     config = ServerConfig(
         max_batch=64,
-        linger=0.002,
         num_workers=1,
         coalesce="fused",
         ingest_group_size=64,

@@ -2,13 +2,13 @@
 
 Public surface:
 
-* :class:`~repro.server.runtime.ServingRuntime` — batched queries over
-  worker-owned replica snapshots, background stream ingest + compaction,
-  graceful drain and lossless checkpoint/restart.
+* :class:`~repro.server.runtime.ServingRuntime` — worker-pull batched
+  queries over worker-owned replica snapshots, background stream ingest +
+  compaction, graceful drain and lossless checkpoint/restart.
 * :class:`~repro.server.config.ServerConfig` / :class:`~repro.server.config.ServerHooks`
   — knobs and observation/fault-injection points.
-* :class:`~repro.server.aggregator.BatchAggregator` — size-or-timeout
-  request coalescing (usable standalone).
+* :class:`~repro.server.aggregator.BatchAggregator` — the pending-query
+  queue workers pull batches from (usable standalone).
 * :class:`~repro.server.checkpoint.Checkpointer` — atomic snapshot +
   stream-offset checkpoints.
 """

@@ -1,30 +1,29 @@
-"""Size-or-timeout coalescing of concurrent query requests.
+"""The pending-query queue that serving workers pull batches from.
 
 Concurrent callers each hold one small :class:`~repro.api.QueryRequest`;
 executing them one by one pays one index scan (and one Python dispatch) per
-caller.  The :class:`BatchAggregator` buffers arriving requests and releases
-them as one batch the moment either trigger fires:
+caller.  The :class:`BatchAggregator` holds submitted requests in arrival
+order, and a free worker calls :meth:`BatchAggregator.take` to pull the
+oldest of them — up to ``max_batch`` — in one batch:
 
-* **size** — the buffer reaches ``max_batch`` requests (released inline on
-  the submitting caller's thread: the full-batch case never waits on a
-  timer, and is fully deterministic);
-* **timeout** — the *oldest* buffered request has waited ``linger`` clock
-  seconds (released by a background flusher thread, so a lone request on a
-  quiet server is answered after at most one linger).
+* a request that arrives while a worker is idle is taken at once, so a
+  lone query on a quiet server never waits on a timer;
+* requests that arrive while every worker is busy queue up, and the next
+  worker to finish takes them together — batches grow exactly as fast as
+  load outruns the workers.
 
-All timing goes through an injected :class:`~repro.utils.clock.Clock`;
-under the test-kit's :class:`~repro.utils.clock.VirtualClock` the timeout
-trigger fires exactly when the test advances virtual time — no sleeps, no
-flaky margins.  This is the flush-by-size-or-age batching pattern of
-LLMPlotBot's batch manager, rebuilt around futures and an injectable clock.
+There is no timer and no flusher thread: blocking is a plain condition
+wait that ``submit`` and ``close`` signal, so the queue behaves the same
+under the test-kit's :class:`~repro.utils.clock.VirtualClock` as in
+production.  The clock only stamps ``enqueued_at`` for queue-wait metrics.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.api.types import QueryRequest
 from repro.server.config import ServerClosed
@@ -33,7 +32,7 @@ from repro.utils.clock import Clock, SystemClock
 
 @dataclass
 class PendingQuery:
-    """One buffered request plus the future its caller is blocked on."""
+    """One queued request plus the future its caller is blocked on."""
 
     request: QueryRequest
     future: Future = field(default_factory=Future)
@@ -41,52 +40,34 @@ class PendingQuery:
 
 
 class BatchAggregator:
-    """Coalesce submitted requests into batches for a downstream sink.
+    """A FIFO of pending requests that workers drain in batches of ``max_batch``.
 
-    ``sink`` receives each released batch (a non-empty list of
-    :class:`PendingQuery`) and owns resolving the futures.  Size-triggered
-    batches are handed to the sink on the submitting thread; timeout/flush
-    batches on the flusher thread.  The sink must therefore be cheap and
-    thread-safe — the serving runtime's sink just enqueues onto the worker
-    queue.
+    ``submit`` appends and wakes one idle worker; ``take`` blocks until
+    something is pending and returns the oldest requests; ``close`` refuses
+    new submissions, after which ``take`` drains what is left and then
+    returns ``None`` — the worker's signal to exit.
     """
 
-    def __init__(
-        self,
-        sink: Callable[[list[PendingQuery]], None],
-        *,
-        max_batch: int,
-        linger: float,
-        clock: Clock | None = None,
-    ) -> None:
+    def __init__(self, *, max_batch: int, clock: Clock | None = None) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if linger < 0:
-            raise ValueError("linger must be >= 0")
-        self._sink = sink
         self.max_batch = int(max_batch)
-        self.linger = float(linger)
         self._clock = clock if clock is not None else SystemClock()
-        self._lock = threading.Lock()
-        self._pending: list[PendingQuery] = []
-        self._wake = self._clock.make_event()
+        self._ready = threading.Condition()
+        self._pending: deque[PendingQuery] = deque()
         self._closed = False
         self._batches = 0
         self._occupancy = 0
-        self._thread: threading.Thread | None = None
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
     @property
     def pending(self) -> int:
-        """Requests buffered but not yet released in a batch."""
-        with self._lock:
+        """Requests submitted but not yet taken by a worker."""
+        with self._ready:
             return len(self._pending)
 
     @property
     def stats(self) -> dict[str, float]:
-        with self._lock:
+        with self._ready:
             batches = self._batches
             occupancy = self._occupancy
         return {
@@ -95,89 +76,44 @@ class BatchAggregator:
             "mean_occupancy": occupancy / batches if batches else 0.0,
         }
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        """Start the timeout flusher thread (idempotent)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name="repro-server-aggregator", daemon=True
-            )
-            self._thread.start()
-
-    def close(self) -> None:
-        """Stop accepting requests, flush the buffer, stop the flusher."""
-        with self._lock:
-            self._closed = True
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.flush()
-
-    # ------------------------------------------------------------------ #
-    # Submission
-    # ------------------------------------------------------------------ #
     def submit(self, request: QueryRequest) -> Future:
-        """Buffer one request; returns the future its response will land on."""
+        """Queue one request; returns the future its response will land on."""
         entry = PendingQuery(request=request, enqueued_at=self._clock.monotonic())
-        batch: list[PendingQuery] | None = None
-        with self._lock:
+        with self._ready:
             if self._closed:
                 raise ServerClosed("the aggregator is closed to new requests")
             self._pending.append(entry)
-            if len(self._pending) >= self.max_batch:
-                batch = self._take_locked()
-            elif len(self._pending) == 1:
-                # First request of a fresh buffer: arm the linger timer.
-                self._wake.set()
-        if batch is not None:
-            self._sink(batch)
+            self._ready.notify()
         return entry.future
 
-    def flush(self) -> int:
-        """Release whatever is buffered right now; returns how many requests."""
-        with self._lock:
-            batch = self._take_locked() if self._pending else None
-        if batch is None:
-            return 0
-        self._sink(batch)
-        return len(batch)
+    def take(self) -> list[PendingQuery] | None:
+        """Block until requests are pending; return the oldest ``max_batch``.
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _take_locked(self) -> list[PendingQuery]:
-        batch = self._pending
-        self._pending = []
-        self._batches += 1
-        self._occupancy += len(batch)
+        Returns ``None`` once the queue is closed *and* empty.
+        """
+        with self._ready:
+            while not self._pending:
+                if self._closed:
+                    return None
+                self._ready.wait()
+            size = min(len(self._pending), self.max_batch)
+            batch = [self._pending.popleft() for _ in range(size)]
+            self._batches += 1
+            self._occupancy += size
         return batch
 
-    def _run(self) -> None:
-        while True:
-            with self._lock:
-                if self._closed:
-                    return
-                deadline = (
-                    self._pending[0].enqueued_at + self.linger if self._pending else None
-                )
-            if deadline is None:
-                self._clock.wait(self._wake)
-                self._wake.clear()
-                continue
-            timeout = deadline - self._clock.monotonic()
-            if timeout > 0:
-                self._clock.wait(self._wake, timeout)
-                self._wake.clear()
-            batch: list[PendingQuery] | None = None
-            with self._lock:
-                if self._closed:
-                    return
-                if self._pending and self._clock.monotonic() >= (
-                    self._pending[0].enqueued_at + self.linger
-                ):
-                    batch = self._take_locked()
-            if batch is not None:
-                self._sink(batch)
+    def requeue(self, batch: list[PendingQuery]) -> None:
+        """Put a taken batch back at the head of the queue, in its order.
+
+        Allowed after :meth:`close`: requests already accepted are owed an
+        answer, so a closed queue still hands them to the next ``take``.
+        """
+        with self._ready:
+            self._pending.extendleft(reversed(batch))
+            self._ready.notify()
+
+    def close(self) -> None:
+        """Refuse new requests and wake every waiting worker."""
+        with self._ready:
+            self._closed = True
+            self._ready.notify_all()

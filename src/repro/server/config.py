@@ -14,8 +14,8 @@ class KillWorker(BaseException):
     """Raised from a hook to terminate the current query worker.
 
     The fault-injection escape hatch of the concurrency test-kit: a hook
-    that raises this makes the worker re-enqueue its in-flight batch (no
-    request is lost) and exit, exercising the supervision/respawn path.
+    that raises this makes the worker put its unanswered requests back at
+    the head of the pending queue (no request is lost) and exit, exercising the supervision/respawn path.
     Derives from ``BaseException`` so a worker's per-request ``except
     Exception`` error containment cannot swallow it.
     """
@@ -25,11 +25,11 @@ class KillWorker(BaseException):
 class ServerConfig:
     """Every knob of a :class:`~repro.server.runtime.ServingRuntime`.
 
-    Query path — ``max_batch`` and ``linger`` drive the size-or-timeout
-    batch aggregator (a batch is dispatched when it holds ``max_batch``
-    requests or when its oldest request has waited ``linger`` seconds);
-    ``num_workers`` query workers each own a bit-stable replica of the
-    primary index; ``coalesce`` picks the batch execution mode of
+    Query path — ``num_workers`` query workers each own a bit-stable
+    replica of the primary index and pull batches from one pending queue: a
+    free worker takes the oldest pending requests, at most ``max_batch`` of
+    them, at once (no timer — batches form only while every worker is
+    busy); ``coalesce`` picks the batch execution mode of
     :meth:`repro.api.Engine.query_many` — ``"aligned"`` (default) is
     bitwise identical to sequential :meth:`~repro.api.Engine.query`,
     ``"fused"`` amortises one index scan across the batch at last-ulp
@@ -55,7 +55,6 @@ class ServerConfig:
     """
 
     max_batch: int = 32
-    linger: float = 0.002
     num_workers: int = 2
     coalesce: str = "aligned"
     ingest_group_size: int = 64
@@ -69,8 +68,6 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.linger < 0:
-            raise ValueError("linger must be >= 0")
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if self.coalesce not in ("aligned", "fused"):

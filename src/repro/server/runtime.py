@@ -3,20 +3,22 @@
 :class:`ServingRuntime` turns the single-threaded :class:`repro.api.Engine`
 into a server.  Four cooperating pieces, each individually simple:
 
-**Batch aggregation** (caller threads + one flusher).  Concurrent
-:class:`~repro.api.QueryRequest`\\ s land in a
-:class:`~repro.server.aggregator.BatchAggregator` and are released as one
-batch by size (``max_batch``) or age (``linger``).  Callers block on
-futures; nothing about a caller's answer depends on who it shared a batch
-with — in the default ``"aligned"`` mode responses are **bitwise identical**
-to the same requests issued sequentially through ``Engine.query`` (see
+**Worker-pull batching** (caller threads).  Concurrent
+:class:`~repro.api.QueryRequest`\\ s queue in a
+:class:`~repro.server.aggregator.BatchAggregator`; a free worker takes the
+oldest pending requests, up to ``max_batch``, the moment it is idle.  A
+request on a quiet server is therefore served at once, and batches form
+only while every worker is busy.  Callers block on futures; nothing about
+a caller's answer depends on who it shared a batch with — in the default
+``"aligned"`` mode responses are **bitwise identical** to the same requests
+issued sequentially through ``Engine.query`` (see
 :meth:`Engine.query_many <repro.api.Engine.query_many>` for why shape
 matching is what buys this).
 
 **Query workers over replicas** (``num_workers`` daemon threads).  Each
-worker owns a private replica engine restored from the latest *published
-generation* — an ``Engine.snapshot`` of the primary, which restores
-bit-identically by the facade's existing contract.  A batch is executed
+worker loops on ``take`` and owns a private replica engine restored from
+the latest *published generation* — an ``Engine.snapshot`` of the primary,
+which restores bit-identically by the facade's existing contract.  A batch is executed
 entirely against one replica generation, so concurrent ingestion can never
 tear a batch's view of the index.  Workers encode trajectory queries under
 a shared encode lock (the model is not thread-safe); the index scans
@@ -48,7 +50,6 @@ sleeps anywhere.
 
 from __future__ import annotations
 
-import queue
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -74,10 +75,6 @@ from repro.streaming.reader import TrajectoryStreamReader
 from repro.trajectory.types import Trajectory
 from repro.utils.clock import Clock, SystemClock
 
-#: Worker-queue sentinel: the receiving worker exits cleanly.
-_STOP = object()
-
-
 class _QueryWorker(threading.Thread):
     """One query worker: private replica engine + batch execution loop."""
 
@@ -92,10 +89,10 @@ class _QueryWorker(threading.Thread):
         reason = "stop"
         try:
             while True:
-                item = self.runtime._queue.get()
-                if item is _STOP:
+                batch = self.runtime._aggregator.take()
+                if batch is None:
                     return
-                batch: list[PendingQuery] = item
+                self.runtime._observe_queue_wait(batch)
                 try:
                     self._refresh_replica()
                     self.runtime._hooks.on_batch_start(
@@ -109,9 +106,10 @@ class _QueryWorker(threading.Thread):
                     reason = "killed"
                     survivors = [entry for entry in batch if not entry.future.done()]
                     if survivors:
-                        # The batch outlives its worker: hand it back for a
-                        # surviving (or respawned) worker to serve.
-                        self.runtime._queue.put(survivors)
+                        # The batch outlives its worker: hand it back, ahead
+                        # of newer requests, to a surviving (or respawned)
+                        # worker.
+                        self.runtime._aggregator.requeue(survivors)
                     return
                 except Exception as exc:
                     # Batch-level failure (replica restore, backend error):
@@ -165,13 +163,7 @@ class ServingRuntime:
         self.config = config or ServerConfig()
         self._hooks = hooks or ServerHooks()
         self._clock = clock if clock is not None else SystemClock()
-        self._queue: queue.Queue[list[PendingQuery] | object] = queue.Queue()
-        self._aggregator = BatchAggregator(
-            self._enqueue_batch,
-            max_batch=self.config.max_batch,
-            linger=self.config.linger,
-            clock=self._clock,
-        )
+        self._aggregator = BatchAggregator(max_batch=self.config.max_batch, clock=self._clock)
         self._encode_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._inflight = 0
@@ -234,7 +226,7 @@ class ServingRuntime:
         )
         self._m_queue_wait = registry.histogram(
             "server_queue_wait_seconds",
-            "submit-to-execution wait per query",
+            "submit-to-take wait per query",
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
         self._m_service = registry.histogram(
@@ -295,7 +287,6 @@ class ServingRuntime:
             self._started_at = self._clock.monotonic()
         with self._ingest_lock:
             self._publish_locked()
-        self._aggregator.start()
         with self._state_lock:
             for _ in range(self.config.num_workers):
                 self._spawn_worker_locked()
@@ -314,13 +305,13 @@ class ServingRuntime:
     def shutdown(self, *, drain: bool = True, timeout: float | None = None) -> None:
         """Stop the runtime; with ``drain`` (default) no accepted work is lost.
 
-        Order matters: close the aggregator (flushing buffered requests to
-        the workers), wait until every accepted query future is resolved,
-        stop the workers, stop the ingest thread, ingest any remaining
-        stream records and buffered partial group, and commit a final
-        checkpoint when checkpointing is configured.  ``drain=False`` skips
-        the waiting and the final ingest flush (in-flight work is abandoned
-        best-effort; accepted futures may still resolve).
+        Order matters: close the pending queue to new requests, wait until
+        every accepted query future is resolved, join the workers (each
+        exits once the queue is closed and empty), stop the ingest thread,
+        ingest any remaining stream records and buffered partial group, and
+        commit a final checkpoint when checkpointing is configured.  ``drain=False`` skips
+        the waiting and the final ingest flush (the workers still answer
+        what is queued before they exit).
         """
         with self._state_lock:
             if self._closed:
@@ -331,8 +322,6 @@ class ServingRuntime:
         if drain:
             with self._inflight_cond:
                 self._inflight_cond.wait_for(lambda: self._inflight == 0, timeout)
-        for _ in workers:
-            self._queue.put(_STOP)
         for worker in workers:
             worker.join()
         self._stop_ingest = True
@@ -403,7 +392,6 @@ class ServingRuntime:
                 "batches": self._batches,
                 "mean_occupancy": aggregator["mean_occupancy"],
                 "pending": self._aggregator.pending,
-                "queue_depth": self._queue.qsize(),
                 "inflight": self._inflight,
                 "workers_alive": len(self._workers),
                 "worker_deaths": self._worker_deaths,
@@ -503,14 +491,13 @@ class ServingRuntime:
             self._inflight -= 1
             self._inflight_cond.notify_all()
 
-    def _enqueue_batch(self, batch: list[PendingQuery]) -> None:
-        if self._poisoned:
-            for entry in batch:
-                entry.future.set_exception(
-                    ServerClosed("all query workers died; the runtime is poisoned")
-                )
+    def _observe_queue_wait(self, batch: list[PendingQuery]) -> None:
+        """Record each request's submit → ``take`` wait."""
+        if not self._metrics_registry.enabled:
             return
-        self._queue.put(batch)
+        taken_at = self._clock.monotonic()
+        for entry in batch:
+            self._m_queue_wait.observe(max(0.0, taken_at - entry.enqueued_at))
 
     def _execute_batch(self, batch: list[PendingQuery], replica: Engine) -> None:
         """Encode (per request, bit-identically) and answer one batch."""
@@ -518,8 +505,6 @@ class ServingRuntime:
         execute_started = self._clock.monotonic() if observed else 0.0
         if observed:
             self._m_occupancy.observe(len(batch))
-            for entry in batch:
-                self._m_queue_wait.observe(max(0.0, execute_started - entry.enqueued_at))
         ready: list[tuple[PendingQuery, QueryRequest]] = []
         for entry in batch:
             try:
@@ -559,36 +544,29 @@ class ServingRuntime:
         worker.start()
 
     def _worker_exited(self, worker: _QueryWorker, reason: str) -> None:
-        poison = False
         with self._state_lock:
             if worker in self._workers:
                 self._workers.remove(worker)
             if reason == "killed":
                 self._worker_deaths += 1
                 self._m_worker_deaths.inc()
-                if not self._closed:
-                    if self._respawns < self.config.max_worker_respawns:
-                        self._respawns += 1
-                        self._m_worker_respawns.inc()
-                        self._spawn_worker_locked()
-                    elif not self._workers:
-                        self._poisoned = True
-                        poison = True
+                if not self._closed and self._respawns < self.config.max_worker_respawns:
+                    self._respawns += 1
+                    self._m_worker_respawns.inc()
+                    self._spawn_worker_locked()
+            orphaned = not self._workers
+            if orphaned and not self._closed:
+                self._poisoned = True
         self._hooks.on_worker_exit(worker.worker_id, reason)
-        if poison:
-            # Nobody is left to serve: fail queued batches instead of
-            # hanging their callers.
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is _STOP:
-                    continue
-                for entry in item:
+        if orphaned:
+            # Nobody is left to serve: refuse new requests and fail the
+            # parked ones instead of hanging their callers.
+            self._aggregator.close()
+            while (batch := self._aggregator.take()) is not None:
+                for entry in batch:
                     if not entry.future.done():
                         entry.future.set_exception(
-                            ServerClosed("all query workers died; the runtime is poisoned")
+                            ServerClosed("no query worker is left to serve this request")
                         )
 
     # ------------------------------------------------------------------ #

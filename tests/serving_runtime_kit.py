@@ -3,17 +3,22 @@
 Concurrency tests usually buy coverage with ``sleep()`` and pay for it in
 flakes.  This kit removes real time from the equation entirely:
 
-* **Virtual time** — runtimes and aggregators under test take a
-  :class:`~repro.utils.clock.VirtualClock`; linger timeouts and poll
-  intervals fire exactly when the test calls ``clock.advance``, and
-  ``clock.wait_for_waiters`` is the rendezvous that proves a background
-  thread is parked before time moves.  No test in ``tests/test_server.py``
-  sleeps, ever.
+* **Virtual time** — runtimes under test take a
+  :class:`~repro.utils.clock.VirtualClock`; poll intervals fire exactly
+  when the test calls ``clock.advance``, and ``clock.wait_for_waiters`` is
+  the rendezvous that proves a background thread is parked before time
+  moves.  Query batching has no timer at all: workers pull requests the
+  moment they are free, so a served query needs no advance.  No test in
+  ``tests/test_server.py`` sleeps, ever.
 * **Synchronous stepping** — :meth:`ServingRuntime.pump` runs one ingest
   cycle on the calling thread, so stream grouping, publication and
   checkpointing are driven step-by-step without the background thread
   (a runtime never ``start()``-ed is a perfectly good single-threaded
   harness; the crash-restart property test exploits exactly that).
+* **Parking requests** — :class:`BatchGate` holds every worker inside
+  ``on_batch_start`` until the test opens it, so requests submitted
+  meanwhile provably wait in the pending queue (and batch up) instead of
+  racing idle workers.
 * **Fault injection** — :class:`FaultInjector` arms one-shot
   :class:`~repro.server.KillWorker` faults on the batch hooks, and
   :class:`FlakyEncoder` poisons chosen trajectory ids so a single request's
@@ -116,7 +121,7 @@ def make_runtime(
     if engine is None:
         engine = make_engine()
         seed_engine(engine, 24)
-    defaults = dict(max_batch=4, linger=0.01, num_workers=2, ingest_group_size=4)
+    defaults = dict(max_batch=4, num_workers=2, ingest_group_size=4)
     defaults.update(config_overrides)
     return ServingRuntime(engine, ServerConfig(**defaults), hooks=hooks, clock=clock)
 
@@ -199,6 +204,40 @@ class FaultInjector(HookRecorder):
                 self._kills_remaining -= 1
         if fire:
             raise KillWorker(f"armed fault: killing worker {worker_id}")
+
+
+class BatchGate(FaultInjector):
+    """A :class:`FaultInjector` that holds workers at ``on_batch_start``.
+
+    Every batch start blocks until :meth:`open` is called; :meth:`wait_held`
+    is the rendezvous proving ``count`` workers are parked in the gate, so
+    the requests a test submits next stay in the pending queue.  Armed
+    kills fire after the gate opens.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._opened = threading.Event()
+        self._arrivals = threading.Condition()
+        self._held = 0
+
+    def open(self) -> None:
+        self._opened.set()
+
+    def wait_held(self, count: int, timeout: float = 5.0) -> None:
+        """Block until ``count`` batch starts have reached the gate."""
+        with self._arrivals:
+            if not self._arrivals.wait_for(lambda: self._held >= count, timeout):
+                raise TimeoutError(f"{count} worker(s) did not reach the gate in {timeout}s")
+
+    def on_batch_start(self, worker_id, batch_size, generation) -> None:
+        with self._arrivals:
+            self._held += 1
+            self._arrivals.notify_all()
+        # Real seconds, and only a bound for a failing test.
+        if not self._opened.wait(60.0):
+            raise TimeoutError("the batch gate was never opened")
+        super().on_batch_start(worker_id, batch_size, generation)
 
 
 class FlakyEncoder:

@@ -1,17 +1,23 @@
-"""The repo gate: `repro.analysis` over the shipped tree must come back clean.
+"""The repo gates: a clean `repro.analysis` run and real package metadata.
 
-This is the test that makes the analyzer matter — any new finding in
+The analysis gate is the test that makes the analyzer matter — any new finding in
 ``src/repro`` that is neither fixed, suppressed inline with a
 ``# repro: allow[rule-id]``, nor added to ``analysis_baseline.json`` with a
 written reason fails CI here.  It also keeps the baseline honest: an entry
 whose finding no longer exists is stale and must be deleted.
+
+The packaging gate pins ``setup.py``'s metadata to the package itself: the
+distribution is named ``repro`` and carries ``repro.__version__``.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
+import repro
 from repro.analysis import Baseline, run_analysis
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME
 from repro.analysis.cli import main as cli_main
@@ -64,3 +70,22 @@ def test_cli_gate_passes_on_shipped_tree(tmp_path, capsys):
     assert payload["ok"] is True
     assert payload["summary"]["new"] == 0
     assert payload["files_scanned"] > 100
+
+
+def _setup_py(flag: str) -> str:
+    completed = subprocess.run(
+        [sys.executable, "setup.py", flag],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return completed.stdout.strip().splitlines()[-1]
+
+
+def test_setup_py_names_the_package():
+    assert _setup_py("--name") == "repro"
+
+
+def test_setup_py_version_matches_the_package():
+    assert _setup_py("--version") == repro.__version__

@@ -1,9 +1,13 @@
 """Tests for the serving runtime — deterministic concurrency, no sleeps.
 
 Built entirely on ``tests/serving_runtime_kit.py``: virtual time for every
-timer, synchronous :meth:`ServingRuntime.pump` stepping for ingest, armed
-one-shot faults for crashes.  The acceptance pins:
+timer, synchronous :meth:`ServingRuntime.pump` stepping for ingest, a batch
+gate for parking requests, armed one-shot faults for crashes.  The
+acceptance pins:
 
+* a free worker takes a pending request at once — a lone query needs no
+  virtual-time advance — and parked requests are served oldest-first in
+  batches of at most ``max_batch``;
 * batched concurrent responses are **bitwise identical** to sequential
   :meth:`Engine.query` (per backend, both query flavours);
 * every batch executes against exactly one published replica generation;
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 import tempfile
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -41,6 +47,7 @@ from repro.server import (
 from repro.streaming.reader import TrajectoryStreamReader
 from repro.streaming.service import _LRUCache
 from serving_runtime_kit import (
+    BatchGate,
     FaultInjector,
     FlakyEncoder,
     HookRecorder,
@@ -109,54 +116,146 @@ class TestVirtualClock:
 
 
 # ---------------------------------------------------------------------- #
-# Batch aggregator
+# The pending-query queue (BatchAggregator)
 # ---------------------------------------------------------------------- #
+def _submit(aggregator: BatchAggregator, count: int) -> list:
+    return [aggregator.submit(QueryRequest(queries=probe_queries(1))) for _ in range(count)]
+
+
 class TestBatchAggregator:
-    def test_size_trigger_releases_inline(self):
-        batches = []
-        aggregator = BatchAggregator(batches.append, max_batch=3, linger=60.0)
-        futures = [aggregator.submit(QueryRequest(queries=probe_queries(1))) for _ in range(3)]
-        assert len(batches) == 1 and len(batches[0]) == 3
-        assert [entry.future for entry in batches[0]] == futures
+    def test_take_returns_at_most_max_batch_oldest_first(self):
+        aggregator = BatchAggregator(max_batch=3)
+        futures = _submit(aggregator, 5)
+        first = aggregator.take()
+        assert [entry.future for entry in first] == futures[:3]
+        assert aggregator.pending == 2
+        assert [entry.future for entry in aggregator.take()] == futures[3:]
         assert aggregator.pending == 0
 
-    def test_linger_trigger_under_virtual_time(self):
-        clock = VirtualClock()
-        batches = []
-        delivered = threading.Event()
+    def test_blocked_take_wakes_on_submit(self):
+        aggregator = BatchAggregator(max_batch=4)
+        taken = []
+        worker = threading.Thread(target=lambda: taken.append(aggregator.take()))
+        worker.start()
+        (future,) = _submit(aggregator, 1)
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert [entry.future for entry in taken[0]] == [future]
 
-        def sink(batch):
-            batches.append(batch)
-            delivered.set()
-
-        aggregator = BatchAggregator(sink, max_batch=10, linger=1.0, clock=clock)
-        aggregator.start()
-        aggregator.submit(QueryRequest(queries=probe_queries(1)))  # deadline t=1.0
-        clock.advance(0.5)
-        aggregator.submit(QueryRequest(queries=probe_queries(1)))
-        clock.advance(0.5)  # exactly the first request's deadline
-        assert delivered.wait(timeout=5)
-        # One batch holding BOTH requests: had the first flushed early, the
-        # second would have landed in a batch of its own.
-        assert [len(batch) for batch in batches] == [2]
+    def test_close_drains_then_take_returns_none(self):
+        aggregator = BatchAggregator(max_batch=10)
+        (future,) = _submit(aggregator, 1)
         aggregator.close()
-
-    def test_close_flushes_pending_and_rejects_new(self):
-        batches = []
-        aggregator = BatchAggregator(batches.append, max_batch=10, linger=60.0)
-        aggregator.start()
-        future = aggregator.submit(QueryRequest(queries=probe_queries(1)))
-        aggregator.close()
-        assert [len(batch) for batch in batches] == [1]
-        assert batches[0][0].future is future
+        assert [entry.future for entry in aggregator.take()] == [future]
+        assert aggregator.take() is None  # closed and empty: the worker exits
         with pytest.raises(ServerClosed):
-            aggregator.submit(QueryRequest(queries=probe_queries(1)))
+            _submit(aggregator, 1)
+
+    def test_requeue_puts_survivors_back_at_the_head_in_order(self):
+        aggregator = BatchAggregator(max_batch=2)
+        futures = _submit(aggregator, 3)
+        survivors = aggregator.take()
+        futures += _submit(aggregator, 1)
+        aggregator.requeue(survivors)
+        assert [entry.future for entry in aggregator.take()] == futures[:2]
+        assert [entry.future for entry in aggregator.take()] == futures[2:]
+
+    def test_concurrent_submit_and_take_lose_and_duplicate_nothing(self):
+        aggregator = BatchAggregator(max_batch=8)
+        submitters, per_submitter, takers = 4, 300, 4
+        request = QueryRequest(queries=probe_queries(1))
+        submitted: list[list] = [[] for _ in range(submitters)]
+        taken: list[list] = [[] for _ in range(takers)]
+        sizes: list[int] = []
+
+        def submit(slot: int) -> None:
+            for _ in range(per_submitter):
+                submitted[slot].append(aggregator.submit(request))
+
+        def take(slot: int) -> None:
+            while (batch := aggregator.take()) is not None:
+                sizes.append(len(batch))
+                taken[slot].extend(entry.future for entry in batch)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=take, args=(i,)) for i in range(takers)]
+            producers = [threading.Thread(target=submit, args=(i,)) for i in range(submitters)]
+            for thread in threads + producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=30)
+            aggregator.close()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads + producers)
+        everything = [future for futures in submitted for future in futures]
+        received = [future for futures in taken for future in futures]
+        assert len(received) == len(everything) == submitters * per_submitter
+        assert 1 <= min(sizes) and max(sizes) <= 8
+        assert {id(future) for future in received} == {id(future) for future in everything}
+        assert aggregator.stats["requests"] == len(everything)
 
     def test_stats_mean_occupancy(self):
-        aggregator = BatchAggregator(lambda batch: None, max_batch=2, linger=60.0)
-        for _ in range(4):
-            aggregator.submit(QueryRequest(queries=probe_queries(1)))
+        aggregator = BatchAggregator(max_batch=2)
+        _submit(aggregator, 4)
+        aggregator.take()
+        aggregator.take()
         assert aggregator.stats == {"batches": 2, "requests": 4, "mean_occupancy": 2.0}
+
+
+class TestWorkerPull:
+    def test_lone_request_resolves_without_time_moving(self):
+        clock = VirtualClock()
+        engine = make_engine()
+        seed_engine(engine, 16)
+        request = QueryRequest(queries=probe_queries(1), k=3)
+        with make_runtime(engine, clock=clock, max_batch=8) as runtime:
+            response = runtime.query(request, timeout=10)  # no clock.advance
+            stats = runtime.stats()
+            families = runtime.metrics()["metrics"]
+        assert clock.monotonic() == 0.0
+        assert_responses_identical(response, engine.query(request))
+        assert stats["batches"] == 1 and stats["mean_occupancy"] == 1.0
+        wait = families["server_queue_wait_seconds"]["series"][0]
+        assert wait["count"] == 1 and wait["sum"] == 0.0
+
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    def test_parked_requests_are_served_oldest_first_in_capped_batches(self, num_workers):
+        gate = BatchGate()
+        engine = make_engine()
+        seed_engine(engine, 24)
+        parked = 10
+        requests = [
+            QueryRequest(queries=probe_queries(1, seed=s), k=3)
+            for s in range(num_workers + parked)
+        ]
+        finished = []
+        runtime = make_runtime(
+            engine, hooks=gate, clock=VirtualClock(), max_batch=4, num_workers=num_workers
+        )
+        with runtime:
+            futures = []
+            for position in range(num_workers):  # one held batch per worker
+                futures.append(runtime.submit(requests[position]))
+                gate.wait_held(position + 1)
+            futures += [runtime.submit(request) for request in requests[num_workers:]]
+            assert runtime.stats()["pending"] == parked
+            for position, future in enumerate(futures):
+                future.add_done_callback(lambda _, position=position: finished.append(position))
+            gate.open()
+            responses = [future.result(timeout=30) for future in futures]
+        for actual, reference in zip(responses, sequential_reference(engine, requests)):
+            assert_responses_identical(actual, reference)
+        sizes = [event["batch_size"] for event in gate.of("batch_start")]
+        if num_workers == 1:
+            assert sizes == [1, 4, 4, 2]
+            assert finished == list(range(len(requests)))
+        else:
+            assert sorted(sizes) == [1, 1, 2, 4, 4]
 
 
 # ---------------------------------------------------------------------- #
@@ -301,25 +400,29 @@ class TestWorkerFaults:
         assert stats["worker_deaths"] == 1 and stats["respawns"] == 1
         assert {"killed"} <= {e["reason"] for e in faults.of("worker_exit")}
 
-    def test_respawn_exhaustion_poisons_the_runtime(self):
-        faults = FaultInjector()
-        faults.arm_kill(1)
+    def test_respawn_exhaustion_fails_every_parked_request(self):
+        gate = BatchGate()
+        gate.arm_kill(1)
         engine = make_engine()
         seed_engine(engine, 12)
         runtime = make_runtime(
-            engine, hooks=faults, max_batch=2, num_workers=1, max_worker_respawns=0
+            engine, hooks=gate, max_batch=2, num_workers=1, max_worker_respawns=0
         )
+        requests = [QueryRequest(queries=probe_queries(1, seed=s), k=2) for s in range(6)]
         with runtime:
-            futures = [
-                runtime.submit(QueryRequest(queries=probe_queries(1, seed=s), k=2))
-                for s in range(2)
-            ]
+            futures = [runtime.submit(requests[0])]
+            gate.wait_held(1)  # the only worker holds request 0...
+            futures += [runtime.submit(request) for request in requests[1:]]
+            assert runtime.stats()["pending"] == 5  # ...so the rest are parked
+            gate.open()  # the armed kill fires; no respawn is left
             for future in futures:
                 with pytest.raises(ServerClosed):
                     future.result(timeout=30)
             with pytest.raises(ServerClosed):
-                runtime.submit(QueryRequest(queries=probe_queries(1), k=2))
-        assert faults.of("worker_exit") == [{"worker_id": 0, "reason": "killed"}]
+                runtime.submit(requests[0])
+            stats = runtime.stats()
+        assert stats["pending"] == 0 and stats["workers_alive"] == 0
+        assert gate.of("worker_exit") == [{"worker_id": 0, "reason": "killed"}]
 
     def test_encode_failure_hits_only_its_own_request(self):
         encoder = FlakyEncoder(poison_ids={666})
@@ -345,14 +448,29 @@ class TestWorkerFaults:
 # ---------------------------------------------------------------------- #
 class TestShutdown:
     def test_shutdown_drains_in_flight_requests(self):
+        gate = BatchGate()
         engine = make_engine()
         seed_engine(engine, 16)
-        requests = [QueryRequest(queries=probe_queries(1, seed=s), k=3) for s in range(3)]
-        runtime = make_runtime(engine, max_batch=8, linger=60.0)  # timer never fires
+        requests = [QueryRequest(queries=probe_queries(1, seed=s), k=3) for s in range(5)]
+        runtime = make_runtime(engine, hooks=gate, max_batch=8, num_workers=2)
         runtime.start()
-        futures = [runtime.submit(request) for request in requests]
-        assert runtime.stats()["pending"] == 3  # parked in the aggregator
-        runtime.shutdown()  # close flushes the buffer; drain waits for answers
+        futures = []
+        for position in range(2):  # occupy both workers
+            futures.append(runtime.submit(requests[position]))
+            gate.wait_held(position + 1)
+        futures += [runtime.submit(request) for request in requests[2:]]
+        assert runtime.stats()["pending"] == 3  # parked in the pending queue
+        stopper = threading.Thread(target=runtime.shutdown)
+        stopper.start()
+        deadline = time.monotonic() + 5  # bounds a failing test only
+        while not runtime.closed:
+            assert time.monotonic() < deadline, "shutdown never closed the runtime"
+        with pytest.raises(ServerClosed):
+            runtime.submit(requests[0])
+        assert runtime.stats()["pending"] == 3  # still parked while shutting down
+        gate.open()  # the workers drain the closed queue, then exit
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
         responses = [future.result(timeout=0) for future in futures]
         for actual, reference in zip(responses, sequential_reference(engine, requests)):
             assert_responses_identical(actual, reference)
@@ -570,10 +688,10 @@ class TestRuntimeMetrics:
                 QueryRequest(queries=probe_queries(1, seed=seed), k=3) for seed in range(4)
             ]
             futures = [runtime.submit(request) for request in requests]
-            for future in futures:  # max_batch=4: the batch flushes on size
+            for future in futures:  # no clock.advance: free workers take them
                 future.result(timeout=30)
-            # A second full batch (size-flushed again: the virtual clock never
-            # fires the linger timer) of identical queries -> replica-cache hits.
+            # Four identical queries: whichever worker takes two of them
+            # answers the second from its replica's cache.
             repeats = [runtime.submit(requests[0]) for _ in range(4)]
             for future in repeats:
                 future.result(timeout=30)
@@ -628,7 +746,7 @@ class TestRuntimeMetrics:
         seed_engine(engine, 8)
         runtime = ServingRuntime(
             engine,
-            ServerConfig(max_batch=2, linger=0.01, num_workers=1),
+            ServerConfig(max_batch=2, num_workers=1),
             metrics=NULL_REGISTRY,
         )
         assert not runtime.metrics_registry.enabled
